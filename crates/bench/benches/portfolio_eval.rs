@@ -6,10 +6,10 @@
 //! scoring one, because the per-record work that dominates — segment
 //! recovery, frame decode, the cross-segment outcome join — is shared
 //! across the whole portfolio, and only the per-candidate accumulator fold
-//! scales with k. The acceptance floor asserted by `repro --check` reads
-//! from the `portfolio_eval` section this bench writes into
-//! `BENCH_serve.json`: k=128 must finish in under 4× the k=1 wall time at
-//! 8 workers.
+//! scales with k. The full run writes a `portfolio_eval` section into
+//! `BENCH_serve.json` and prints the k=128 / k=1 wall-time ratio at 8
+//! workers beside its target (under 4×). The ratio is printed, not
+//! asserted: nothing fails when it is missed.
 
 use criterion::{black_box, criterion_group, Criterion};
 use harvest_bench::bench_json::{merge_section, AxisResult};

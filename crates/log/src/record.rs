@@ -1,4 +1,4 @@
-//! JSON-lines log records.
+//! Log records: decisions, outcomes, batches, and their JSON-lines form.
 //!
 //! Systems that make randomized decisions log two kinds of events, often far
 //! apart in time:
@@ -8,10 +8,28 @@
 //! * an [`OutcomeRecord`] when the consequence materializes — a request
 //!   completes, a machine recovers, an evicted key is re-requested.
 //!
-//! The scavenger joins them by `request_id`. Records serialize as one JSON
-//! object per line, the dominant structured-logging format in production
-//! systems, so the pipeline is exercised end-to-end through real
-//! serialization.
+//! The scavenger joins them by `request_id`. Records serialize two ways:
+//!
+//! * as one JSON object per line ([`JsonLinesWriter`],
+//!   [`read_json_lines`]), the dominant structured-logging format in
+//!   production systems, so the scavenging pipeline is exercised
+//!   end-to-end through real serialization;
+//! * as binary segment payloads ([`crate::codec`]) inside the serve loop's
+//!   crash-safe frames ([`crate::segment`]), one fixed little-endian layout
+//!   (`u64` = 8 bytes LE, `f64` = its `to_bits`, `str`/`vec` = `u64` length
+//!   then elements, `opt` = `0`, or `1` then the value):
+//!
+//! | field | decision (`0x01`)  | outcome (`0x02`)   | batch (`0x03`)                     |
+//! |-------|--------------------|--------------------|------------------------------------|
+//! | 1     | tag u8             | tag u8             | tag u8                             |
+//! | 2     | `request_id` u64   | `request_id` u64   | `component` str                    |
+//! | 3     | `timestamp_ns` u64 | `timestamp_ns` u64 | `n` u64                            |
+//! | 4     | `component` str    | `reward` f64       | n × (`request_id` u64, `timestamp_ns` u64, decided fields) |
+//! | 5     | decided fields     |                    |                                    |
+//!
+//! The decided fields, in order: `shared_features` vec⟨f64⟩,
+//! `action_features` opt⟨vec⟨vec⟨f64⟩⟩⟩, `num_actions` u64, `action` u64,
+//! `propensity` opt⟨f64⟩, `reward` opt⟨f64⟩.
 
 use std::io::{self, BufRead, Write};
 

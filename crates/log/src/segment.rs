@@ -7,16 +7,31 @@
 //!
 //! ```text
 //! frame   := len: u32 LE | crc32(payload): u32 LE | payload
-//! payload := one JSON-serialized LogRecord (no trailing newline)
+//! payload := one LogRecord in the binary layout of crate::codec
 //! segment := frame*          (rotated by record count / byte size)
 //! ```
 //!
+//! The payload layout ([`crate::codec`]), all integers little-endian:
+//!
+//! | kind     | bytes                                                            |
+//! |----------|------------------------------------------------------------------|
+//! | decision | `0x01` · id u64 · stamp u64 · component str · *decided*          |
+//! | outcome  | `0x02` · id u64 · stamp u64 · reward f64                          |
+//! | batch    | `0x03` · component str · n u64 · (id u64 · stamp u64 · *decided*)ⁿ |
+//! | *decided* | shared vec⟨f64⟩ · action features opt⟨vec⟨vec⟨f64⟩⟩⟩ · num_actions u64 · action u64 · propensity opt⟨f64⟩ · reward opt⟨f64⟩ |
+//!
+//! where `f64` is its `to_bits` as a `u64`, `str` and `vec` are a `u64`
+//! length then the elements, and `opt` is a `0`/`1` byte then the value
+//! when `1`. Floats round-trip bit for bit.
+//!
 //! Recovery ([`recover_segment`]) replays the **longest valid prefix** of
-//! each segment — every frame up to the first length/checksum/parse failure —
-//! and *quarantines* the damaged tail: the remaining bytes are never parsed,
-//! but every record frame still identifiable in them is counted, so the
-//! accounting invariant `enqueued == written + dropped + quarantined` can be
-//! checked end-to-end. Corruption is counted, never silently skipped.
+//! each segment — every frame up to the first length/checksum/decode
+//! failure — and *quarantines* the damaged tail: the remaining bytes are
+//! never replayed, but every record frame still identifiable in them is
+//! counted, so the accounting invariant `enqueued == written + dropped +
+//! quarantined` can be checked end-to-end. Corruption is counted, never
+//! silently skipped. A frame from the earlier JSON payload format fails the
+//! codec's tag check and is quarantined the same way.
 //!
 //! Determinism: framing adds no timestamps, padding, or randomness — the
 //! segment bytes are a pure function of the record stream and the rotation
@@ -27,6 +42,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::codec;
 use crate::record::LogRecord;
 
 /// Frame header size: 4-byte length + 4-byte CRC32.
@@ -38,12 +54,13 @@ pub const MAX_FRAME_LEN: usize = 1 << 24;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320), computed in-crate:
-// the build environment vendors no checksum crate, and eight lines of table
-// generation beat a silent dependency.
+// the build environment vendors no checksum crate. Slicing-by-8: table `k`
+// advances a byte through `k` further zero bytes, so eight table lookups
+// fold eight input bytes at once. The tables are built at compile time.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -56,33 +73,75 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE) of a byte slice.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
 
-/// Serializes one record into a complete frame (header + payload).
+/// Serializes one record into a complete frame (header + payload). Fails
+/// when the payload exceeds [`MAX_FRAME_LEN`]: recovery would reject such
+/// a frame as corrupt.
 pub fn encode_frame(record: &LogRecord) -> io::Result<Vec<u8>> {
-    let payload = serde_json::to_string(record)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-        .into_bytes();
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::new();
+    encode_frame_into(record, &mut frame)?;
     Ok(frame)
+}
+
+/// [`encode_frame`] into a caller-owned buffer, which is cleared first (and
+/// left empty on failure); the segment writer reuses one buffer for every
+/// frame.
+fn encode_frame_into(record: &LogRecord, frame: &mut Vec<u8>) -> io::Result<()> {
+    frame.clear();
+    frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    codec::encode(record, frame);
+    let len = frame.len() - FRAME_HEADER_LEN;
+    if len > MAX_FRAME_LEN {
+        frame.clear();
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame payload of {len} bytes exceeds {MAX_FRAME_LEN}"),
+        ));
+    }
+    let crc = crc32(&frame[FRAME_HEADER_LEN..]);
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    frame[4..FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -265,6 +324,8 @@ pub struct SegmentedLogWriter<S> {
     bytes_in_segment: usize,
     first_ts_in_segment: Option<u64>,
     observer: Option<Arc<dyn SealObserver>>,
+    /// Reused frame buffer: one allocation for the writer's lifetime.
+    frame: Vec<u8>,
 }
 
 impl<S: fmt::Debug> fmt::Debug for SegmentedLogWriter<S> {
@@ -299,6 +360,7 @@ impl<S: SegmentSink> SegmentedLogWriter<S> {
             bytes_in_segment: 0,
             first_ts_in_segment: None,
             observer: None,
+            frame: Vec::new(),
         }
     }
 
@@ -328,12 +390,13 @@ impl<S: SegmentSink> SegmentedLogWriter<S> {
         {
             self.rotate()?;
         }
-        let frame = encode_frame(record)?;
-        self.sink.append(self.segment, &frame)?;
+        encode_frame_into(record, &mut self.frame)?;
+        self.sink.append(self.segment, &self.frame)?;
+        let len = self.frame.len();
         self.records_in_segment += record.record_count();
-        self.bytes_in_segment += frame.len();
+        self.bytes_in_segment += len;
         self.first_ts_in_segment.get_or_insert(ts);
-        Ok(frame.len())
+        Ok(len)
     }
 
     /// Appends raw bytes to the current segment without frame accounting.
@@ -432,7 +495,7 @@ fn frame_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
 /// Counts the logical records still identifiable in a quarantined tail:
 /// for every structurally complete frame whose payload still validates,
 /// its [`LogRecord::record_count`] (a batch frame quarantines its whole
-/// batch); one per frame that no longer parses; plus one for trailing
+/// batch); one per frame that no longer decodes; plus one for trailing
 /// partial bytes. When corruption hits a length header the walk stops
 /// early and the remainder counts as a single frame — an undercount is
 /// possible there, a silent skip is not.
@@ -443,11 +506,10 @@ fn count_tail(tail: &[u8]) -> usize {
     for &(start, len) in &spans {
         let payload = &tail[start + FRAME_HEADER_LEN..start + len];
         let crc = u32::from_le_bytes(tail[start + 4..start + 8].try_into().unwrap());
-        let parsed = (crc32(payload) == crc)
-            .then(|| std::str::from_utf8(payload).ok())
-            .flatten()
-            .and_then(|text| serde_json::from_str::<LogRecord>(text).ok());
-        count += parsed.map_or(1, |r| r.record_count());
+        let decoded = (crc32(payload) == crc)
+            .then(|| codec::decode(payload).ok())
+            .flatten();
+        count += decoded.map_or(1, |r| r.record_count());
         walked += len;
     }
     count + usize::from(walked < tail.len())
@@ -456,7 +518,8 @@ fn count_tail(tail: &[u8]) -> usize {
 /// Replays the longest valid prefix of one segment.
 ///
 /// A frame is valid when its length header fits the remaining bytes, its
-/// payload matches its CRC32, and the payload parses as a [`LogRecord`].
+/// payload matches its CRC32, and the payload decodes as a [`LogRecord`]
+/// ([`codec::decode`]).
 /// Recovery stops at the first invalid frame; everything after it is
 /// quarantined and counted via [`count_tail`].
 ///
@@ -483,8 +546,7 @@ pub fn recover_segment(bytes: &[u8]) -> (Vec<LogRecord>, SegmentRecovery) {
             if crc32(payload) != crc {
                 return None;
             }
-            let text = std::str::from_utf8(payload).ok()?;
-            let record: LogRecord = serde_json::from_str(text).ok()?;
+            let record = codec::decode(payload).ok()?;
             Some((record, FRAME_HEADER_LEN + len))
         })();
         match frame_ok {
@@ -492,7 +554,13 @@ pub fn recover_segment(bytes: &[u8]) -> (Vec<LogRecord>, SegmentRecovery) {
                 match record {
                     LogRecord::Batch(batch) => {
                         stats.recovered += batch.decisions.len();
-                        records.extend(batch.flatten().map(LogRecord::Decision));
+                        let component = batch.component;
+                        records.extend(
+                            batch
+                                .decisions
+                                .into_iter()
+                                .map(|d| LogRecord::Decision(d.into_decision(&component))),
+                        );
                     }
                     other => {
                         stats.recovered += 1;
@@ -562,6 +630,60 @@ mod tests {
         // IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise table loop slicing-by-8 replaced, kept as an oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_oracle() {
+        // Every length 0..=1024 at every start offset 0..8, so each
+        // remainder length and alignment meets each chunk count.
+        let data: Vec<u8> = (0..1024 + 8u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        for start in 0..8 {
+            for len in 0..=1024 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_payloads_are_refused_at_encode() {
+        let rec = LogRecord::Outcome(OutcomeRecord {
+            request_id: 1,
+            timestamp_ns: 0,
+            reward: 0.0,
+        });
+        let mut buf = vec![0xAA; 3];
+        encode_frame_into(&rec, &mut buf).unwrap();
+        assert_eq!(buf, encode_frame(&rec).unwrap());
+        let big = LogRecord::Decision(crate::record::DecisionRecord {
+            request_id: 1,
+            timestamp_ns: 0,
+            component: "x".repeat(MAX_FRAME_LEN),
+            shared_features: vec![],
+            action_features: None,
+            num_actions: 1,
+            action: 0,
+            propensity: None,
+            reward: None,
+        });
+        assert!(encode_frame_into(&big, &mut buf).is_err());
+        assert!(buf.is_empty());
     }
 
     #[test]

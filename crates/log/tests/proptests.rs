@@ -1,18 +1,24 @@
-//! Property tests for the log pipeline: round-trips, join laws, and the
-//! durability layer (checkpoint framing, segment lifecycle).
+//! Property tests for the log pipeline: round-trips, join laws, the
+//! binary segment codec, and the durability layer (checkpoint framing,
+//! segment lifecycle).
 
 use proptest::prelude::*;
 
 use harvest_core::policy::UniformPolicy;
 use harvest_log::checkpoint::{load_latest, CheckpointStore, CheckpointWriter, MemoryCheckpoints};
+use harvest_log::codec::{self, DecodeError};
 use harvest_log::lifecycle::{compact_segments, LifecycleConfig};
 use harvest_log::pipeline::HarvestPipeline;
 use harvest_log::propensity::KnownPropensity;
 use harvest_log::record::{
-    read_json_lines, DecisionRecord, JsonLinesWriter, LogRecord, OutcomeRecord,
+    read_json_lines, BatchDecision, BatchRecord, DecisionRecord, JsonLinesWriter, LogRecord,
+    OutcomeRecord,
 };
 use harvest_log::scavenge::{scavenge, scavenge_segments};
-use harvest_log::segment::{recover_segments, MemorySegments, SegmentConfig, SegmentedLogWriter};
+use harvest_log::segment::{
+    crc32, encode_frame, recover_segment, recover_segments, MemorySegments, SegmentConfig,
+    SegmentedLogWriter, FRAME_HEADER_LEN,
+};
 
 fn arb_decision() -> impl Strategy<Value = DecisionRecord> {
     (
@@ -231,4 +237,307 @@ proptest! {
         prop_assert_eq!(report.segments_in, store.segment_count());
         prop_assert_eq!(report.expired_records, 0);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Binary segment codec
+// ---------------------------------------------------------------------------
+
+/// Any `f64` bit pattern, weighted toward the ones a text codec mangles:
+/// NaNs with arbitrary payloads and sign, ±0.0, ±∞, subnormals.
+fn arb_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        (
+            0x7FF0_0000_0000_0001u64..=0x7FFF_FFFF_FFFF_FFFF,
+            any::<bool>()
+        )
+            .prop_map(|(bits, neg)| f64::from_bits(bits | (u64::from(neg) << 63))),
+        (1u64..1 << 52, any::<bool>())
+            .prop_map(|(bits, neg)| f64::from_bits(bits | (u64::from(neg) << 63))),
+        prop_oneof![
+            Just(0.0f64),
+            Just(-0.0f64),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::MIN_POSITIVE),
+            Just(f64::MAX),
+        ],
+        -1e3f64..1e3,
+    ]
+}
+
+/// Strings with multi-byte UTF-8 in them.
+fn arb_component() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0u32..0x11_0000, 0..8)
+        .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
+}
+
+fn arb_action_features() -> impl Strategy<Value = Option<Vec<Vec<f64>>>> {
+    proptest::option::of(proptest::collection::vec(
+        proptest::collection::vec(arb_f64(), 0..4),
+        0..4,
+    ))
+}
+
+fn arb_batch_decision() -> impl Strategy<Value = BatchDecision> {
+    (
+        any::<u64>(),
+        any::<u64>(),
+        proptest::collection::vec(arb_f64(), 0..6),
+        arb_action_features(),
+        any::<usize>(),
+        any::<usize>(),
+        proptest::option::of(arb_f64()),
+        proptest::option::of(arb_f64()),
+    )
+        .prop_map(
+            |(
+                request_id,
+                timestamp_ns,
+                shared_features,
+                action_features,
+                num_actions,
+                action,
+                propensity,
+                reward,
+            )| {
+                BatchDecision {
+                    request_id,
+                    timestamp_ns,
+                    shared_features,
+                    action_features,
+                    num_actions,
+                    action,
+                    propensity,
+                    reward,
+                }
+            },
+        )
+}
+
+fn arb_record() -> impl Strategy<Value = LogRecord> {
+    prop_oneof![
+        (arb_component(), arb_batch_decision())
+            .prop_map(|(c, d)| LogRecord::Decision(d.into_decision(&c))),
+        (any::<u64>(), any::<u64>(), arb_f64()).prop_map(|(request_id, timestamp_ns, reward)| {
+            LogRecord::Outcome(OutcomeRecord {
+                request_id,
+                timestamp_ns,
+                reward,
+            })
+        }),
+        (
+            arb_component(),
+            proptest::collection::vec(arb_batch_decision(), 0..6)
+        )
+            .prop_map(|(component, decisions)| LogRecord::Batch(BatchRecord {
+                component,
+                decisions
+            })),
+    ]
+}
+
+fn payload(record: &LogRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    codec::encode(record, &mut out);
+    out
+}
+
+/// Every float of a record as raw bits, in encoding order: `PartialEq`
+/// cannot see NaN payloads or the sign of zero, bits can.
+fn float_bits(record: &LogRecord) -> Vec<u64> {
+    fn decided(out: &mut Vec<u64>, d: &BatchDecision) {
+        out.extend(d.shared_features.iter().map(|x| x.to_bits()));
+        for row in d.action_features.iter().flatten() {
+            out.extend(row.iter().map(|x| x.to_bits()));
+        }
+        out.extend(d.propensity.map(f64::to_bits));
+        out.extend(d.reward.map(f64::to_bits));
+    }
+    let mut out = Vec::new();
+    match record {
+        LogRecord::Decision(d) => decided(&mut out, &BatchDecision::from(d.clone())),
+        LogRecord::Outcome(o) => out.push(o.reward.to_bits()),
+        LogRecord::Batch(b) => b.decisions.iter().for_each(|d| decided(&mut out, d)),
+    }
+    out
+}
+
+/// A record with every float replaced by a NaN-free stand-in, for a
+/// `PartialEq` check of all the non-float structure.
+fn structure(record: &LogRecord) -> LogRecord {
+    fn clean(d: &mut BatchDecision) {
+        d.shared_features.iter_mut().for_each(|x| *x = 0.0);
+        d.action_features
+            .iter_mut()
+            .flatten()
+            .flatten()
+            .for_each(|x| *x = 0.0);
+        d.propensity = d.propensity.map(|_| 0.0);
+        d.reward = d.reward.map(|_| 0.0);
+    }
+    let mut r = record.clone();
+    match &mut r {
+        LogRecord::Decision(d) => {
+            let mut b = BatchDecision::from(d.clone());
+            clean(&mut b);
+            let component = std::mem::take(&mut d.component);
+            *d = b.into_decision(&component);
+        }
+        LogRecord::Outcome(o) => o.reward = 0.0,
+        LogRecord::Batch(b) => b.decisions.iter_mut().for_each(clean),
+    }
+    r
+}
+
+proptest! {
+    #[test]
+    fn codec_round_trips_every_record_bit_for_bit(record in arb_record()) {
+        let bytes = payload(&record);
+        let back = codec::decode(&bytes).unwrap();
+        prop_assert_eq!(float_bits(&back), float_bits(&record));
+        prop_assert_eq!(structure(&back), structure(&record));
+        prop_assert_eq!(payload(&back), bytes);
+    }
+
+    #[test]
+    fn codec_rejects_every_strict_prefix(record in arb_record()) {
+        let bytes = payload(&record);
+        for cut in 0..bytes.len() {
+            prop_assert!(codec::decode(&bytes[..cut]).is_err(), "prefix of {} bytes decoded", cut);
+        }
+    }
+
+    #[test]
+    fn codec_rejects_trailing_bytes(
+        record in arb_record(),
+        extra in proptest::collection::vec(any::<u8>(), 1..16),
+    ) {
+        let mut bytes = payload(&record);
+        bytes.extend_from_slice(&extra);
+        prop_assert_eq!(codec::decode(&bytes), Err(DecodeError::TrailingBytes));
+    }
+
+    #[test]
+    fn codec_rejects_overlong_length_prefixes_before_allocating(
+        d in arb_batch_decision(),
+        component in arb_component(),
+        site in 0usize..4,
+        excess in any::<u64>(),
+    ) {
+        // Each length-prefixed field, in turn, claims more elements than
+        // the bytes after it hold — up to u64::MAX, which no allocator
+        // could satisfy, so an Err (not an abort) proves the check runs
+        // before the allocation.
+        let mut d = d;
+        d.action_features.get_or_insert_with(Vec::new);
+        let record = match site {
+            0 | 2 | 3 => LogRecord::Decision(d.clone().into_decision(&component)),
+            _ => LogRecord::Batch(BatchRecord { component: component.clone(), decisions: vec![d.clone()] }),
+        };
+        let mut bytes = payload(&record);
+        let clen = component.len();
+        let at = match site {
+            0 => 1 + 16,                              // decision component length
+            1 => 1 + 8 + clen,                        // batch decision count
+            2 => 1 + 16 + 8 + clen,                   // shared_features length
+            _ => 1 + 16 + 8 + clen + 8 + 8 * d.shared_features.len() + 1, // action_features rows
+        };
+        let left = (bytes.len() - at - 8) as u64;
+        let claim = left + 1 + excess % (u64::MAX - left);
+        bytes[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+        prop_assert_eq!(codec::decode(&bytes), Err(DecodeError::LengthOverrun));
+    }
+
+    #[test]
+    fn every_single_byte_flip_in_a_frame_is_quarantined_and_counted(
+        record in arb_record(),
+        xor in 1u8..=255,
+    ) {
+        let frame = encode_frame(&record).unwrap();
+        for pos in 0..frame.len() {
+            let mut bytes = frame.clone();
+            bytes[pos] ^= xor;
+            let (recovered, stats) = recover_segment(&bytes);
+            prop_assert!(recovered.is_empty(), "flip at {} of {} replayed", pos, frame.len());
+            prop_assert!(stats.quarantined_records >= 1);
+            prop_assert_eq!(stats.quarantined_bytes, bytes.len());
+        }
+    }
+
+    #[test]
+    fn a_json_era_frame_is_quarantined_not_misread(
+        before in proptest::collection::vec(arb_decision(), 0..4),
+        legacy in arb_decision(),
+    ) {
+        // The earlier payload format: the serde JSON of a LogRecord under
+        // a valid header and CRC. It fails the codec's tag check.
+        let json = serde_json::to_string(&LogRecord::Decision(legacy)).unwrap();
+        let mut legacy_frame = (json.len() as u32).to_le_bytes().to_vec();
+        legacy_frame.extend_from_slice(&crc32(json.as_bytes()).to_le_bytes());
+        legacy_frame.extend_from_slice(json.as_bytes());
+        prop_assert!(codec::decode(&legacy_frame[FRAME_HEADER_LEN..]).is_err());
+
+        let records: Vec<LogRecord> = before.into_iter().map(LogRecord::Decision).collect();
+        let mut bytes: Vec<u8> = records.iter().flat_map(|r| encode_frame(r).unwrap()).collect();
+        bytes.extend_from_slice(&legacy_frame);
+        let (recovered, stats) = recover_segment(&bytes);
+        prop_assert_eq!(&recovered, &records);
+        prop_assert_eq!(stats.quarantined_records, 1);
+        prop_assert_eq!(stats.quarantined_bytes, legacy_frame.len());
+    }
+}
+
+#[test]
+fn codec_round_trips_option_and_batch_extremes() {
+    let base = BatchDecision {
+        request_id: u64::MAX,
+        timestamp_ns: 0,
+        shared_features: vec![0.5; 16],
+        action_features: None,
+        num_actions: 8,
+        action: 7,
+        propensity: None,
+        reward: None,
+    };
+    let mut variants = Vec::new();
+    for propensity in [None, Some(0.125)] {
+        for reward in [None, Some(-1.0)] {
+            for action_features in [None, Some(vec![]), Some(vec![vec![1.0, 2.0], vec![]])] {
+                variants.push(BatchDecision {
+                    propensity,
+                    reward,
+                    action_features: action_features.clone(),
+                    ..base.clone()
+                });
+            }
+        }
+    }
+    let mut records: Vec<LogRecord> = variants
+        .iter()
+        .map(|d| LogRecord::Decision(d.clone().into_decision("serve")))
+        .collect();
+    records.push(LogRecord::Batch(BatchRecord {
+        component: String::new(),
+        decisions: vec![],
+    }));
+    records.push(LogRecord::Batch(BatchRecord {
+        component: "serve".to_string(),
+        decisions: (0..1_000)
+            .map(|i| BatchDecision {
+                request_id: i,
+                ..variants[i as usize % variants.len()].clone()
+            })
+            .collect(),
+    }));
+    for record in &records {
+        let back = codec::decode(&payload(record)).unwrap();
+        assert_eq!(&back, record);
+    }
+    // Through the segment frame too: the batch flattens to its decisions.
+    let (recovered, stats) = recover_segment(&encode_frame(records.last().unwrap()).unwrap());
+    assert_eq!(stats.recovered, 1_000);
+    assert!(stats.is_clean());
+    assert_eq!(recovered.len(), 1_000);
 }

@@ -20,6 +20,7 @@
 //!   (rotation points are record-indexed, so seals replay; the final
 //!   never-sealed segment is not recorded).
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -124,8 +125,9 @@ pub struct ServeObs {
     /// drains this and records `tick_now − decided_ns` per terminal
     /// class — stage latency measured at a *deterministic* point of the
     /// logical clock, because asynchronous writer progress is invisible
-    /// in logical time. Bounded; overflow drops oldest, counted.
-    stage_journal: Mutex<Vec<(u64, Terminal)>>,
+    /// in logical time. Bounded; overflow drops oldest (O(1) per drop),
+    /// counted.
+    stage_journal: Mutex<VecDeque<(u64, Terminal)>>,
     stage_journal_dropped: AtomicU64,
     /// Logical span (last − first record stamp) of each training round's
     /// harvest — the gate→promote stage of the timeline.
@@ -159,7 +161,7 @@ impl ServeObs {
             segment_bytes: AtomicHistogram::new(),
             quality: Mutex::new(None),
             leaderboard: Mutex::new(None),
-            stage_journal: Mutex::new(Vec::new()),
+            stage_journal: Mutex::new(VecDeque::new()),
             stage_journal_dropped: AtomicU64::new(0),
             gate_span_ns: AtomicHistogram::new(),
         }
@@ -171,17 +173,37 @@ impl ServeObs {
     /// [`drain_stage_journal`](Self::drain_stage_journal) (a scope tick)
     /// turns entries into decide→terminal latency samples.
     pub fn journal_stage_terminal(&self, decided_ns: u64, terminal: Terminal) {
+        self.journal_stage_terminals(std::iter::once(decided_ns), terminal);
+    }
+
+    /// Journals every decision stamp of one frame under a single lock,
+    /// all with the same terminal — the batch form of
+    /// [`journal_stage_terminal`](Self::journal_stage_terminal), with the
+    /// same oldest-first eviction.
+    pub fn journal_stage_terminals(
+        &self,
+        decided_ns: impl IntoIterator<Item = u64>,
+        terminal: Terminal,
+    ) {
         let mut journal = self.stage_journal.lock().unwrap_or_else(|e| e.into_inner());
-        if journal.len() >= STAGE_JOURNAL_CAP {
-            journal.remove(0);
-            self.stage_journal_dropped.fetch_add(1, Ordering::Relaxed);
+        let mut dropped = 0;
+        for stamp in decided_ns {
+            if journal.len() >= STAGE_JOURNAL_CAP {
+                journal.pop_front();
+                dropped += 1;
+            }
+            journal.push_back((stamp, terminal));
         }
-        journal.push((decided_ns, terminal));
+        if dropped > 0 {
+            self.stage_journal_dropped
+                .fetch_add(dropped, Ordering::Relaxed);
+        }
     }
 
     /// Drains every journaled terminal, in writer (global ticket) order.
     pub fn drain_stage_journal(&self) -> Vec<(u64, Terminal)> {
-        std::mem::take(&mut *self.stage_journal.lock().unwrap_or_else(|e| e.into_inner()))
+        let mut journal = self.stage_journal.lock().unwrap_or_else(|e| e.into_inner());
+        journal.drain(..).collect()
     }
 
     /// Stage-journal entries dropped to the ring bound.
@@ -298,4 +320,32 @@ impl SealObserver for ServeObs {
 /// Convenience: the observer handle the segment writer wants.
 pub fn seal_observer(obs: &Arc<ServeObs>) -> Arc<dyn SealObserver> {
     Arc::clone(obs) as Arc<dyn SealObserver>
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stage_journal_keeps_the_newest_cap_in_writer_order() {
+        let obs = ServeObs::new(&ObsConfig::default());
+        let total = STAGE_JOURNAL_CAP as u64 + 1_000;
+        // Singles and batch frames interleaved, as the writer journals them.
+        let mut next = 0;
+        while next < total {
+            if next % 3 == 0 {
+                obs.journal_stage_terminal(next, Terminal::Written);
+                next += 1;
+            } else {
+                let end = (next + 64).min(total);
+                obs.journal_stage_terminals(next..end, Terminal::Written);
+                next = end;
+            }
+        }
+        assert_eq!(obs.stage_journal_dropped(), 1_000);
+        let drained = obs.drain_stage_journal();
+        let stamps: Vec<u64> = drained.iter().map(|&(ns, _)| ns).collect();
+        assert_eq!(stamps, (1_000..total).collect::<Vec<u64>>());
+        assert!(obs.drain_stage_journal().is_empty());
+    }
 }

@@ -164,12 +164,12 @@ impl<S: SegmentSink> WriterShared<S> {
                 obs.journal_stage_terminal(d.timestamp_ns, terminal);
             }
             // A batch frame terminates every decision it carries — same
-            // terminal, one inbox push per id.
+            // terminal, one inbox push per id, one journal lock per frame.
             LogRecord::Batch(b) => {
                 for d in &b.decisions {
                     obs.tracer().terminal_deferred(d.request_id, terminal);
-                    obs.journal_stage_terminal(d.timestamp_ns, terminal);
                 }
+                obs.journal_stage_terminals(b.decisions.iter().map(|d| d.timestamp_ns), terminal);
             }
             LogRecord::Outcome(_) => {}
         }

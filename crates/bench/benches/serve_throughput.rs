@@ -4,16 +4,15 @@
 //! Worker threads hammer a [`DecisionEngine`] under a greedy incumbent
 //! (the realistic hot path: one atomic generation check, a scorer pass, one
 //! or two RNG draws, one record enqueue). With a single shard every thread
-//! serializes on the same shard cell; with one shard per thread each cell
-//! is effectively private and its acquire is one uncontended atomic swap.
-//! The cross-shard axis rotates every thread across all shards so the cost
-//! of violating affinity (cache-line bouncing, spin handoffs) stays
-//! visible next to the affine number — the regression the pre-refactor
-//! bench never measured.
+//! serializes on the same shard mutex; with one shard per thread each
+//! mutex is effectively private and uncontended. The cross-shard axis
+//! rotates every thread across all shards so the cost of violating
+//! affinity (cache-line bouncing, lock handoffs) stays visible next to the
+//! affine number.
 //!
 //! The batch axis measures what `decide_batch` amortizes: batch 1 is the
 //! degenerate case (batch framing overhead with no amortization), batch 16
-//! pays the cell-acquire/sequence/queue-admission/log-frame cost once per
+//! pays the shard-lock/sequence/queue-admission/log-frame cost once per
 //! 16 decisions, batch 256 almost never. That group serves the uniform
 //! bootstrap incumbent and carries its own single-call baseline (see
 //! [`bench_batch`]); the acceptance floor is batch 256 on 8 shards at
@@ -61,14 +60,11 @@ fn make_engine(
         Arc::new(ServeMetrics::new())
     };
     let registry = Arc::new(PolicyRegistry::new(policy, "bench-policy"));
-    // DropNewest: under saturation the hot path pays a failed ring push and
-    // a counter bump, never a stall on the writer thread. One SPSC ring per
-    // shard so the bench exercises the same producer routing the service
-    // wires up.
+    // DropNewest: under saturation the hot path pays a failed budget
+    // reservation and a counter bump, never a stall on the writer thread.
     let cfg = LoggerConfig::builder()
         .capacity(4096)
         .backpressure(Backpressure::DropNewest)
-        .shard_rings(shards)
         .build();
     let (logger, writer) = spawn_supervised_writer(
         cfg,
@@ -89,7 +85,7 @@ fn make_engine(
 }
 
 /// A realistically-sized model: 8 actions × 32 shared features. The scorer
-/// pass runs while the shard cell is held, so this is the contended work.
+/// pass runs while the shard lock is held, so this is the contended work.
 fn greedy_policy() -> ServePolicy {
     ServePolicy::Greedy(LinearScorer::PerAction {
         weights: (0..ACTIONS)
@@ -248,7 +244,7 @@ fn bench_batch(c: &mut Criterion) {
 /// [`DecisionService`] with 0 vs 4 concurrent OPS scrapers hammering the
 /// wire ops endpoint (full Prometheus render per scrape, through the
 /// duplex frame codec). The delta between the two entries is the cost a
-/// scrape storm levies on serving. Scrapes never touch a shard cell — they
+/// scrape storm levies on serving. Scrapes never touch a shard lock — they
 /// read relaxed counters, the obs histograms, and the scope mutex — so on
 /// a machine with spare cores the delta is lock/cache interference only;
 /// on a core-starved host it also includes plain CPU sharing with the
@@ -260,9 +256,8 @@ fn make_scrape_rig() -> (
     Arc<DecisionService<MemorySegments>>,
     Arc<Duplex<MemorySegments>>,
 ) {
-    // Same logging posture as `make_engine`: DropNewest with one ring per
-    // shard, so the axis measures scrape interference, not writer-thread
-    // backpressure stalls.
+    // Same logging posture as `make_engine`: DropNewest, so the axis
+    // measures scrape interference, not writer-thread backpressure stalls.
     let cfg = ServeConfig::builder()
         .shards(THREADS)
         .epsilon(0.1)
@@ -272,7 +267,6 @@ fn make_scrape_rig() -> (
             LoggerConfig::builder()
                 .capacity(4096)
                 .backpressure(Backpressure::DropNewest)
-                .shard_rings(THREADS)
                 .build(),
         )
         .build()
@@ -369,7 +363,7 @@ criterion_group!(
 
 const JSON_DECISIONS_PER_THREAD: usize = 4_096;
 /// Untimed passes before measurement: warm the allocator, fault in the
-/// ring buffers, and let the branch predictors settle. One warmup pass was
+/// queue buffers, and let the branch predictors settle. One warmup pass was
 /// enough to stop `tracing_on` occasionally "beating" `tracing_off` — the
 /// first pass pays one-time costs (page faults, lazy thread-pool state)
 /// that have nothing to do with the axis under test.
@@ -493,8 +487,8 @@ fn write_json_report() -> std::io::Result<()> {
         );
     }
     // Single-decision latency: one thread, one shard, no contention — the
-    // floor a caller sees per decide() when the hot path has the cell, the
-    // policy slot, and the ring producer gate all to itself.
+    // floor a caller sees per decide() when the hot path has the shard lock
+    // and the log queue all to itself.
     {
         let (engine, _writer) = make_engine(1, false, greedy_policy());
         let ctx = bench_context();

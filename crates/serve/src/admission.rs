@@ -33,7 +33,7 @@ use std::sync::{Condvar, Mutex};
 /// and wedge blocked producers.
 ///
 /// The count itself is a lone atomic: `try_acquire` and `release` — the
-/// lock-free hot path — are a CAS loop each, with no mutex and no futex.
+/// hot path — are a CAS loop each, with no mutex and no futex.
 /// The mutex/condvar pair exists only for `acquire_blocking` waiters, and
 /// `release` touches it only when the waiter counter says someone is
 /// actually parked.

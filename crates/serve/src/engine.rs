@@ -10,7 +10,7 @@
 //! discipline the whole harvesting methodology rests on (paper §2): logged
 //! randomness is only reusable if its probabilities are known.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use harvest_core::{Context, SimpleContext};
 use harvest_log::record::{BatchDecision, BatchRecord, DecisionRecord, LogRecord};
@@ -19,8 +19,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::batch::DecisionBatch;
-use crate::cell::{ShardCell, ShardCellGuard};
-use crate::error::ServeError;
+use crate::error::{lock_recovering, ServeError};
 use crate::logger::DecisionLogger;
 use crate::metrics::ServeMetrics;
 use crate::registry::{CachedPolicy, PolicyRegistry, ServePolicy};
@@ -35,9 +34,7 @@ use crate::registry::{CachedPolicy, PolicyRegistry, ServePolicy};
 #[non_exhaustive]
 pub struct EngineConfig {
     /// Number of decision shards. Each gets an independent RNG stream and
-    /// its own affine ownership cell, so disjoint shards never contend —
-    /// and same-shard calls from the shard's own worker are uncontended by
-    /// construction.
+    /// its own mutex, so disjoint shards never contend.
     pub shards: usize,
     /// The exploration floor ε: every action keeps propensity ≥ ε/K.
     pub epsilon: f64,
@@ -147,6 +144,9 @@ struct Shard {
     /// inter-arrival histogram. Per-shard and caller-stamped, so the
     /// gap sequence is deterministic under same-seed replay.
     last_ns: Option<u64>,
+    /// Chaos wedge: set by [`DecisionEngine::poison_shard`], cleared (and
+    /// counted) by the next acquisition.
+    wedged: bool,
 }
 
 /// Durable per-shard engine state: the RNG stream position, the next
@@ -197,14 +197,11 @@ fn sample_epsilon_greedy(
     }
 }
 
-/// The sharded decision engine. Each shard's mutable state lives in a
-/// shard-affine [`ShardCell`]: the intended one-worker-per-shard deployment
-/// acquires it with a single uncontended atomic swap (no mutex, no futex),
-/// and callers that violate affinity fall back to a striped spin path that
-/// keeps `decide(shard, ...)` exactly as correct as the old per-shard
-/// mutex. Different shards share nothing but atomics.
+/// The sharded decision engine. Each shard's mutable state sits behind its
+/// own mutex, uncontended when one worker serves each shard; different
+/// shards share nothing but atomics.
 pub struct DecisionEngine {
-    shards: Vec<ShardCell<Shard>>,
+    shards: Vec<Mutex<Shard>>,
     registry: Arc<PolicyRegistry>,
     epsilon: f64,
     component: String,
@@ -233,11 +230,12 @@ impl DecisionEngine {
         );
         let shards = (0..cfg.shards)
             .map(|i| {
-                ShardCell::new(Shard {
+                Mutex::new(Shard {
                     rng: fork_rng_indexed(cfg.master_seed, "serve-shard", i as u64),
                     seq: 0,
                     cache: CachedPolicy::new(&registry),
                     last_ns: None,
+                    wedged: false,
                 })
             })
             .collect();
@@ -256,15 +254,14 @@ impl DecisionEngine {
         self.shards.len()
     }
 
-    /// Acquires shard `shard`'s cell — uncontended under shard affinity —
-    /// and services any pending chaos wedge: a wedged shard is recovered
-    /// and counted here, at its next acquisition, exactly where the old
-    /// mutex recovered from poisoning. The caller must have bounds-checked
-    /// `shard`.
-    fn lock_shard(&self, shard: usize) -> ShardCellGuard<'_, Shard> {
-        let cell = &self.shards[shard];
-        let guard = cell.lock();
-        if cell.take_wedge() {
+    /// Locks shard `shard` and services any pending chaos wedge: a wedged
+    /// shard is recovered and counted here, at its next acquisition. The
+    /// caller must have bounds-checked `shard`.
+    fn lock_shard(&self, shard: usize) -> MutexGuard<'_, Shard> {
+        // A panic mid-decision leaves the RNG, sequence counter and cache
+        // each valid, so a poisoned shard is simply taken back uncounted.
+        let mut guard = lock_recovering(&self.shards[shard], None);
+        if std::mem::take(&mut guard.wedged) {
             self.metrics.record_shard_wedge();
         }
         guard
@@ -360,7 +357,7 @@ impl DecisionEngine {
     /// log queue before this returns, degraded or not: even safe-arm
     /// traffic stays harvestable.
     ///
-    /// A wedged shard (the chaos fault that replaced lock poisoning — see
+    /// A wedged shard (the chaos fault injected by
     /// [`poison_shard`](DecisionEngine::poison_shard)) is recovered and
     /// counted at acquisition, never propagated: the shard's RNG, sequence
     /// counter, and policy cache are each valid at every instant.
@@ -611,20 +608,18 @@ impl DecisionEngine {
         Ok(())
     }
 
-    /// Chaos hook: wedges `shard`'s cell — the lock-free analogue of the
-    /// poisoned mutex this fault used to inject (there is no mutex left to
-    /// poison). The next acquisition of the shard — the next
-    /// [`decide`](DecisionEngine::decide), batch, replay, or snapshot —
-    /// clears the wedge and counts the recovery (`shard_wedges`, aliased
+    /// Chaos hook: wedges `shard`. The next acquisition of the shard — the
+    /// next [`decide`](DecisionEngine::decide), batch, replay, or snapshot
+    /// — clears the wedge and counts the recovery (`shard_wedges`, aliased
     /// into the legacy `lock_recoveries` counter); the shard's RNG,
     /// sequence counter, and policy cache are untouched, so the decision
     /// stream continues bit-identically. Returns `false` for an unknown
     /// shard.
     pub fn poison_shard(&self, shard: usize) -> bool {
-        let Some(cell) = self.shards.get(shard) else {
+        let Some(state) = self.shards.get(shard) else {
             return false;
         };
-        cell.wedge();
+        lock_recovering(state, None).wedged = true;
         true
     }
 }
@@ -650,11 +645,7 @@ mod tests {
         policy: ServePolicy,
     ) -> (DecisionEngine, WriterSupervisorHandle<MemorySegments>) {
         let metrics = Arc::new(ServeMetrics::new());
-        let registry = Arc::new(PolicyRegistry::with_metrics(
-            policy,
-            "bootstrap",
-            Arc::clone(&metrics),
-        ));
+        let registry = Arc::new(PolicyRegistry::new(policy, "bootstrap"));
         let (logger, writer) = spawn_supervised_writer(
             LoggerConfig::default(),
             SupervisorConfig::default(),
@@ -793,6 +784,21 @@ mod tests {
         drop((clean, hurt));
         wc.finish().unwrap();
         wh.finish().unwrap();
+    }
+
+    #[test]
+    fn a_double_wedge_is_counted_once() {
+        let ctx = SimpleContext::contextless(3);
+        let (e, w) = engine(2, 4);
+        assert!(e.poison_shard(1));
+        assert!(e.poison_shard(1));
+        e.decide(1, 0, &ctx).unwrap();
+        e.decide(1, 1, &ctx).unwrap();
+        let s = e.metrics.snapshot();
+        assert_eq!(s.shard_wedges, 1);
+        assert_eq!(s.lock_recoveries, 1);
+        drop(e);
+        w.finish().unwrap();
     }
 
     #[test]

@@ -177,7 +177,7 @@ pub(crate) fn prometheus_page(
     );
     p.counter(
         "harvest_shard_wedges_total",
-        "Wedged shard cells recovered at acquisition.",
+        "Wedged shards recovered at acquisition.",
         s.shard_wedges,
     );
     p.counter(

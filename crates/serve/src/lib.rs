@@ -10,10 +10,10 @@
 //! ```text
 //!   requests ──▶ CircuitBreaker ──▶ DecisionEngine (N shards, ε-floor,
 //!                   │ open: safe arm     │    ▲ exact propensities)
-//!                   │                    │    │ epoch/RCU hot-swap
+//!                   │                    │    │ RwLock<Arc> hot-swap
 //!                   │                    │    └── PolicyRegistry ◀── promote
 //!                   ▼                    ▼                            │ gate:
-//!              safe policy    per-shard SPSC rings (ticket order)    │ LCB >
+//!              safe policy      one FIFO log queue (push order)      │ LCB >
 //!           (still logged with          │                            │ incumbent
 //!            exact propensities)        ▼                            │
 //!              supervised writer (restart + backoff, sealed tails)   │
@@ -35,8 +35,9 @@
 //!    even fault schedules ([`ChaosPlan`]) are seeded. Same seed + same
 //!    call sequence ⇒ byte-identical decision log, faults included.
 //! 3. **Readers never wait on learners.** The serving path sees policy
-//!    updates through one atomic generation check; promotion is an `Arc`
-//!    flip, not a lock held across training.
+//!    updates through one atomic generation check and takes the registry's
+//!    read lock only after a swap; promotion holds the write lock for one
+//!    `Arc` store, never across training.
 //! 4. **Bounded everywhere.** The log queue has a capacity and an explicit
 //!    backpressure policy; the reward joiner has a TTL; the writer has a
 //!    restart budget and capped backoff. Overload degrades measurably
@@ -57,19 +58,12 @@
 //! the load-balancer simulator, and `examples/chaos_harvest.rs` for the
 //! same loop under a seeded fault schedule.
 
-// `unsafe` is denied crate-wide and re-allowed in exactly three audited
-// islands — the lock-free primitives `cell`, `rcu`, and `ring` — where
-// every block carries a `// SAFETY:` comment (checked by
-// `tests/unsafe_audit.rs` and a CI grep). Everything else in the crate is
-// still unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;
 pub mod batch;
 pub mod breaker;
-#[allow(unsafe_code)]
-mod cell;
 pub mod chaos;
 pub mod engine;
 pub mod error;
@@ -78,12 +72,8 @@ pub mod joiner;
 pub mod logger;
 pub mod metrics;
 pub mod obs;
-#[allow(unsafe_code)]
-mod rcu;
 pub mod recovery;
 pub mod registry;
-#[allow(unsafe_code)]
-mod ring;
 pub mod scope;
 pub mod service;
 pub mod supervisor;

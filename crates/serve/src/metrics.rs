@@ -40,11 +40,10 @@ pub struct ServeMetrics {
     // visible here, so "no silent data loss" is checkable from a snapshot.
     log_quarantined: AtomicU64,
     lock_recoveries: AtomicU64,
-    /// Wedged shard cells recovered at acquisition — the lock-free
-    /// successor of `lock_recoveries` (the mutexes this fault used to
-    /// poison are gone). Every wedge recovery also bumps
-    /// `lock_recoveries`, so the breaker's fault signal and existing
-    /// dashboards keep working unchanged.
+    /// Wedged shards recovered at acquisition — the successor of
+    /// `lock_recoveries` for the shard-level chaos fault. Every wedge
+    /// recovery also bumps `lock_recoveries`, so the breaker's fault signal
+    /// and existing dashboards keep working unchanged.
     shard_wedges: AtomicU64,
     writer_restarts: AtomicU64,
     trainer_crashes: AtomicU64,
@@ -206,7 +205,7 @@ impl ServeMetrics {
         self.lock_recoveries.fetch_add(1, RELAXED);
     }
 
-    /// Records one wedged shard cell recovered at its next acquisition —
+    /// Records one wedged shard recovered at its next acquisition —
     /// the shard-level chaos fault that replaced lock poisoning. Bumps the
     /// legacy `lock_recoveries` alias too, so the circuit breaker's fault
     /// signal and existing dashboards see the fault without renaming.
@@ -515,12 +514,12 @@ pub struct MetricsSnapshot {
     /// Policy hot-swaps performed.
     pub swaps: u64,
     /// Shard-level chaos faults recovered instead of propagating: wedged
-    /// shard cells (and, historically, poisoned locks). Every
+    /// shards (and, historically, poisoned locks). Every
     /// `shard_wedges` recovery is mirrored here, so this legacy counter
     /// keeps its meaning for dashboards and the breaker's fault signal.
     pub lock_recoveries: u64,
-    /// Wedged shard cells recovered at acquisition — the lock-free
-    /// successor of the poisoned-lock fault.
+    /// Wedged shards recovered at acquisition — the successor of the
+    /// poisoned-lock fault.
     pub shard_wedges: u64,
     /// Writer-thread restarts performed by the supervisor.
     pub writer_restarts: u64,

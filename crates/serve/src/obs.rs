@@ -200,7 +200,7 @@ impl ServeObs {
         }
     }
 
-    /// Drains every journaled terminal, in writer (global ticket) order.
+    /// Drains every journaled terminal, in writer (log queue) order.
     pub fn drain_stage_journal(&self) -> Vec<(u64, Terminal)> {
         let mut journal = self.stage_journal.lock().unwrap_or_else(|e| e.into_inner());
         journal.drain(..).collect()

@@ -1,29 +1,18 @@
 //! The versioned policy registry: which policy is serving right now.
 //!
-//! The registry owns an epoch/RCU double-buffer ([`crate::rcu::RcuCell`]).
-//! Exactly one slot is *active* at any moment; a promotion writes the
-//! candidate into the inactive slot — after waiting out any reader still
-//! pinned to it — and then flips one atomic index. Readers keep a per-shard
-//! [`CachedPolicy`]: on the hot path a read is a single atomic generation
-//! check, and only in the instant after a swap does a reader do the full
-//! lock-free pinned read to refresh its `Arc`. No mutex sits anywhere on
-//! the decision path, so serving never stalls behind training — and a
-//! hot-swap never stalls behind serving for more than one `Arc` clone.
+//! The incumbent is an `Arc<PolicyVersion>` behind a `RwLock`, mirrored by
+//! an atomic generation counter. Shards keep a [`CachedPolicy`]: on the hot
+//! path a read is a single atomic generation check, and only in the instant
+//! after a swap does a shard take the read lock to refresh its `Arc`. A
+//! promotion holds the write lock for one pointer store, so serving never
+//! stalls behind training.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use harvest_core::scorer::{LinearScorer, Scorer};
 use harvest_core::{Context, SimpleContext};
 use serde::{Deserialize, Serialize};
-
-use crate::metrics::ServeMetrics;
-use crate::rcu::{RcuCell, RcuReader};
-
-/// How many registered lock-free readers the registry supports (one per
-/// shard). Shards beyond this fall back to the mutex-sharing cold read on
-/// swap — correct, just slower in the post-swap instant.
-const MAX_RCU_READERS: usize = 64;
 
 /// A servable policy: either the explore-only bootstrap or a learned scorer
 /// exploited greedily. The engine wraps either in an ε exploration floor.
@@ -95,7 +84,9 @@ pub struct PolicyVersion {
 /// The hot-swappable incumbent store.
 #[derive(Debug)]
 pub struct PolicyRegistry {
-    cell: RcuCell<Arc<PolicyVersion>>,
+    incumbent: RwLock<Arc<PolicyVersion>>,
+    /// The incumbent's generation, stored after each swap so a reader that
+    /// sees a new generation also finds the new version behind the lock.
     generation: AtomicU64,
     swaps: AtomicU64,
 }
@@ -109,27 +100,17 @@ impl PolicyRegistry {
             policy: initial,
         });
         PolicyRegistry {
-            cell: RcuCell::new(v0, MAX_RCU_READERS),
+            incumbent: RwLock::new(v0),
             generation: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
         }
     }
 
-    /// Like [`PolicyRegistry::new`]. The metrics handle is accepted for
-    /// construction-site compatibility but no longer consulted: the RCU
-    /// registry has no slot locks left to poison or recover.
-    pub fn with_metrics(
-        initial: ServePolicy,
-        name: impl Into<String>,
-        _metrics: Arc<ServeMetrics>,
-    ) -> Self {
-        Self::new(initial, name)
-    }
-
-    /// The current incumbent. A cold (mutex-sharing) read — control-plane
-    /// callers only; shards use [`CachedPolicy`], which reads lock-free.
+    /// The current incumbent.
     pub fn current(&self) -> Arc<PolicyVersion> {
-        self.cell.read_cold()
+        // Only a pointer store happens under the write lock, so a poisoned
+        // lock still holds a complete version.
+        Arc::clone(&self.incumbent.read().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// The incumbent's generation number.
@@ -142,32 +123,20 @@ impl PolicyRegistry {
         self.swaps.load(Ordering::SeqCst)
     }
 
-    /// Claims a lock-free reader pin for a shard's [`CachedPolicy`], or
-    /// `None` when the pool (64) is exhausted.
-    pub(crate) fn reader(&self) -> Option<RcuReader> {
-        self.cell.reader()
-    }
-
-    /// The incumbent via a pinned lock-free read.
-    pub(crate) fn read(&self, reader: RcuReader) -> Arc<PolicyVersion> {
-        self.cell.read(reader)
-    }
-
     /// Atomically promotes `policy` to incumbent; returns its generation.
     ///
-    /// The new version is written into the inactive slot — after the RCU
-    /// quiescence wait for readers still pinned there — then the active
-    /// index flips, then the generation counter advances, all `SeqCst`: a
-    /// reader that observes the new generation also observes the new index.
-    /// In-flight readers finish on the old version; nobody blocks.
+    /// The new version is stored and the generation counter advanced under
+    /// the write lock, so concurrent promotions number their generations
+    /// in the order they land. In-flight readers finish on the old `Arc`.
     pub fn promote(&self, policy: ServePolicy, name: impl Into<String>) -> u64 {
-        let gen = self.generation.load(Ordering::SeqCst) + 1;
-        let next = Arc::new(PolicyVersion {
+        let name = name.into();
+        let mut incumbent = self.incumbent.write().unwrap_or_else(|e| e.into_inner());
+        let gen = incumbent.generation + 1;
+        *incumbent = Arc::new(PolicyVersion {
             generation: gen,
-            name: name.into(),
+            name,
             policy,
         });
-        self.cell.write(next);
         self.generation.store(gen, Ordering::SeqCst);
         self.swaps.fetch_add(1, Ordering::SeqCst);
         gen
@@ -178,8 +147,9 @@ impl PolicyRegistry {
     /// neither advances the generation nor counts a swap — a warm restart
     /// resumes the old incarnation's history, it does not rewrite it.
     pub fn restore(&self, version: PolicyVersion, swaps: u64) {
+        let mut incumbent = self.incumbent.write().unwrap_or_else(|e| e.into_inner());
         let gen = version.generation;
-        self.cell.write(Arc::new(version));
+        *incumbent = Arc::new(version);
         self.generation.store(gen, Ordering::SeqCst);
         self.swaps.store(swaps, Ordering::SeqCst);
     }
@@ -187,20 +157,17 @@ impl PolicyRegistry {
 
 /// A shard-local cache of the incumbent `Arc`. The common case — no swap
 /// since the last decision — is one atomic load and nothing else; a swap
-/// triggers one epoch-pinned lock-free refresh.
+/// triggers one read-locked refresh.
 #[derive(Debug)]
 pub struct CachedPolicy {
     version: Arc<PolicyVersion>,
-    reader: Option<RcuReader>,
 }
 
 impl CachedPolicy {
-    /// Seeds the cache from the registry's current incumbent and claims a
-    /// lock-free reader pin (falling back to cold reads past 64 shards).
+    /// Seeds the cache from the registry's current incumbent.
     pub fn new(registry: &PolicyRegistry) -> Self {
         CachedPolicy {
             version: registry.current(),
-            reader: registry.reader(),
         }
     }
 
@@ -208,10 +175,7 @@ impl CachedPolicy {
     /// happened since the cached version.
     pub fn get(&mut self, registry: &PolicyRegistry) -> &Arc<PolicyVersion> {
         if registry.generation() != self.version.generation {
-            self.version = match self.reader {
-                Some(r) => registry.read(r),
-                None => registry.current(),
-            };
+            self.version = registry.current();
         }
         &self.version
     }
@@ -273,12 +237,12 @@ mod tests {
 
     #[test]
     fn concurrent_cached_readers_survive_a_promotion_storm() {
-        // The RCU replacement for the old poisoned-slot test: shards read
-        // through their pins while promotions rotate both slots; every read
-        // must return a complete version whose generation never regresses.
+        // Shards read through their caches while 200 promotions land: every
+        // read must return a complete version (its name matches its
+        // generation) whose generation never goes backwards.
         let reg = Arc::new(PolicyRegistry::new(ServePolicy::Uniform, "v0"));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let readers: Vec<_> = (0..3)
+        let readers: Vec<_> = (0..4)
             .map(|_| {
                 let reg = Arc::clone(&reg);
                 let stop = Arc::clone(&stop);

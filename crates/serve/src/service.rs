@@ -25,10 +25,10 @@
 //!   exponential backoff, torn tails are sealed into their segment, and a
 //!   writer past its restart budget keeps draining the queue — counting
 //!   every record dropped — so `Block`-mode callers never wedge.
-//! * **Wedged shards** (the chaos fault that replaced lock poisoning on
-//!   the lock-free decide path) are recovered and counted at the shard's
-//!   next acquisition, never propagated; poisoned mutexes elsewhere
-//!   (joiner, breaker, writer) are likewise recovered and counted.
+//! * **Wedged shards** (the shard-level chaos fault) are recovered and
+//!   counted at the shard's next acquisition, never propagated; poisoned
+//!   mutexes elsewhere (joiner, breaker, writer) are likewise recovered and
+//!   counted.
 //! * **Degraded mode**: the [`CircuitBreaker`] watches the fault signal,
 //!   the writer's liveness, and the promotion gate's confidence radius.
 //!   While open, decisions are served by the configured *safe policy*
@@ -308,18 +308,12 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         } else {
             Arc::new(ServeMetrics::new())
         };
-        let registry = Arc::new(PolicyRegistry::with_metrics(
+        let registry = Arc::new(PolicyRegistry::new(
             ServePolicy::Uniform,
             "bootstrap-uniform",
-            Arc::clone(&metrics),
         ));
-        // One SPSC ring per engine shard: each shard pushes to its own ring
-        // and the writer merges in ticket order, so log hand-off never
-        // contends across shards.
-        let mut logger_cfg = cfg.logger;
-        logger_cfg.shard_rings = cfg.engine.shards.max(1);
         let (logger, writer) = spawn_supervised_writer(
-            logger_cfg,
+            cfg.logger,
             cfg.supervisor,
             Arc::clone(&metrics),
             chaos.clone(),
@@ -685,7 +679,7 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         let Some(writer) = self.writer.take() else {
             return Err(io::Error::other("service writer already shut down"));
         };
-        // Drop both producer handles so the rings signal hang-up.
+        // Drop both producer handles so the log queue signals hang-up.
         drop(self.engine);
         drop(self.logger);
         writer.finish()

@@ -24,10 +24,10 @@
 //! after restart; a cursor over the sorted kill list advances exactly once
 //! per scheduled kill.
 //!
-//! The queue itself is the per-shard SPSC ring set ([`crate::ring`]): the
-//! writer pops frames in global ticket order, so the persisted stream for
-//! any deterministic call sequence is identical to what the old bounded
-//! MPSC channel produced, while producers never share a channel lock.
+//! The queue itself is one FIFO `LogQueue` ([`crate::logger`]): the
+//! writer pops frames in the order producers pushed them, so the persisted
+//! stream for any deterministic call sequence is byte-identical across
+//! runs.
 
 use std::io;
 use std::panic;
@@ -44,10 +44,9 @@ use harvest_obs::Terminal;
 
 use crate::admission::QueueBudget;
 use crate::error::lock_recovering;
-use crate::logger::{DecisionLogger, LoggerConfig};
+use crate::logger::{DecisionLogger, LogQueue, LoggerConfig};
 use crate::metrics::ServeMetrics;
 use crate::obs::seal_observer;
-use crate::ring::LogRings;
 
 const SEQ: Ordering = Ordering::SeqCst;
 
@@ -131,8 +130,8 @@ impl SupervisorConfigBuilder {
 
 /// State shared between incarnations, the supervisor, and the handle.
 struct WriterShared<S> {
-    /// The per-shard ring set; popped in global ticket order.
-    rings: Arc<LogRings>,
+    /// The log queue; popped in push order.
+    queue: Arc<LogQueue>,
     /// Record-weighted queue bound, released as frames are popped.
     budget: Arc<QueueBudget>,
     /// `Some` until [`WriterSupervisorHandle::finish`] takes the writer.
@@ -238,13 +237,13 @@ impl<S: SegmentSink> WriterShared<S> {
     }
 }
 
-/// One writer incarnation: drain the rings (in global ticket order) in
-/// batches until the producers hang up. Returns normally only on hang-up.
+/// One writer incarnation: drain the queue in batches until the producers
+/// hang up. Returns normally only on hang-up.
 fn incarnation<S: SegmentSink>(shared: &WriterShared<S>) {
     loop {
         shared.maybe_fire_kill(shared.attempted.load(SEQ));
-        let Some(first) = shared.rings.pop_next(true) else {
-            // Producers gone and rings empty: flush and exit cleanly.
+        let Some(first) = shared.queue.pop(true) else {
+            // Producers gone and queue empty: flush and exit cleanly.
             let mut guard = lock_recovering(&shared.writer, Some(&shared.metrics));
             if let Some(w) = guard.as_mut() {
                 let _ = w.flush();
@@ -258,7 +257,7 @@ fn incarnation<S: SegmentSink>(shared: &WriterShared<S>) {
         // Batch: drain whatever is already queued before one flush.
         loop {
             shared.maybe_fire_kill(shared.attempted.load(SEQ));
-            match shared.rings.pop_next(false) {
+            match shared.queue.pop(false) {
                 Some(record) => {
                     shared.budget.release(record.record_count() as u64);
                     shared.write_one(&record);
@@ -306,7 +305,7 @@ fn supervise<S: SegmentSink + Send + 'static>(
                     // producers never wedge; every queued or future record
                     // is counted dropped.
                     alive.store(false, SEQ);
-                    while let Some(record) = shared.rings.pop_next(true) {
+                    while let Some(record) = shared.queue.pop(true) {
                         shared.budget.release(record.record_count() as u64);
                         shared.note_terminal(&record, Terminal::Dropped);
                         shared
@@ -375,10 +374,7 @@ pub fn spawn_supervised_writer<S: SegmentSink + Send + 'static>(
     chaos: Option<Arc<ChaosPlan>>,
     sink: S,
 ) -> (DecisionLogger, WriterSupervisorHandle<S>) {
-    // The rings are sized in frames only as a backstop; the record-
-    // weighted QueueBudget is the real bound (frames ≤ records, so no ring
-    // can fill while the budget has room).
-    let rings = Arc::new(LogRings::new(cfg.shard_rings.max(1), cfg.capacity.max(1)));
+    let queue = Arc::new(LogQueue::new());
     let budget = Arc::new(QueueBudget::new(cfg.capacity.max(1) as u64));
     let kills = chaos.as_ref().map(|c| c.writer_kills()).unwrap_or_default();
     let mut writer = SegmentedLogWriter::with_start(sink, cfg.segment, cfg.first_segment);
@@ -391,7 +387,7 @@ pub fn spawn_supervised_writer<S: SegmentSink + Send + 'static>(
     // resume index targets a record not yet popped and stays armed.
     let kill_cursor = kills.partition_point(|&k| k < sup.first_record_index);
     let shared = Arc::new(WriterShared {
-        rings: Arc::clone(&rings),
+        queue: Arc::clone(&queue),
         budget: Arc::clone(&budget),
         writer: Mutex::new(Some(writer)),
         attempted: AtomicU64::new(sup.first_record_index),
@@ -410,7 +406,7 @@ pub fn spawn_supervised_writer<S: SegmentSink + Send + 'static>(
             .expect("spawn log writer supervisor")
     };
     (
-        DecisionLogger::new(rings, budget, cfg.backpressure, metrics),
+        DecisionLogger::new(queue, budget, cfg.backpressure, metrics),
         WriterSupervisorHandle {
             supervisor,
             shared,
@@ -444,7 +440,6 @@ mod tests {
                 max_span_ns: u64::MAX,
             },
             first_segment: 0,
-            shard_rings: 1,
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! A two-shard service serves a synthetic contextual workload while a
 //! [`ChaosPlan`] generated from the seed kills the log writer, tears frames
-//! mid-append, drops and delays rewards, wedges shard cells, and crashes
+//! mid-append, drops and delays rewards, wedges shards, and crashes
 //! the trainer mid-fit. After shutdown the same plan's at-rest faults
 //! damage the persisted segments before recovery replays them.
 //!

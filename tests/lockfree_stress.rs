@@ -1,18 +1,18 @@
-//! Seeded concurrency stress over the lock-free hot path.
+//! Seeded concurrency stress over the decision hot path.
 //!
-//! The lock-free refactor (shard-affine cells, epoch/RCU policy reads,
-//! per-shard SPSC log rings, atomic queue budget) trades mutexes for
-//! ordering arguments — so this test hammers every one of those arguments
-//! at once and then audits the books:
+//! The hot path shares state across threads through per-shard mutexes, a
+//! `RwLock`-guarded policy registry read through per-shard generation
+//! caches, one FIFO log queue, and an atomic queue budget. This test
+//! hammers all of them at once and then audits the books:
 //!
-//! * four shard-affine workers serve singles and batches on their own
-//!   shards while a **rogue** thread violates affinity on shard 0 (the
-//!   striped fallback path must stay correct, not just the happy path);
-//! * a promoter storms the registry with epoch/RCU hot-swaps the whole
-//!   time, so pinned readers race slot overwrites and quiescence waits;
+//! * four workers serve singles and batches on their own shards while a
+//!   **rogue** thread serves on shard 0 too, so one shard lock is
+//!   contended the whole time;
+//! * a promoter storms the registry with hot-swaps the whole time, so
+//!   cached readers refresh across concurrent promotions;
 //! * a chaos thread arms shard wedges mid-traffic, and a checkpointer
-//!   concurrently snapshots shard states through the same cells;
-//! * the writer thread drains the ticket-ordered rings underneath it all.
+//!   concurrently snapshots shard states through the same locks;
+//! * the writer thread drains the log queue underneath it all.
 //!
 //! When the dust settles, conservation must hold exactly: every decision
 //! was offered to the log once (`log_enqueued == decisions`), nothing
@@ -20,8 +20,7 @@
 //! segment stream matches the written count, wedge recoveries reconcile
 //! with the faults armed, and the registry generation equals the number of
 //! promotions. CI runs this under `-C debug-assertions` in release mode so
-//! the internal `debug_assert!`s in the lock-free modules stay armed under
-//! optimized codegen.
+//! the crates' `debug_assert!`s stay armed under optimized codegen.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,7 +52,6 @@ fn harness(backpressure: Backpressure, capacity: usize) -> (Harness, impl FnOnce
     let logger_cfg = LoggerConfig::builder()
         .capacity(capacity)
         .backpressure(backpressure)
-        .shard_rings(SHARDS)
         .build();
     let (logger, writer) = spawn_supervised_writer(
         logger_cfg,
@@ -128,8 +126,8 @@ fn run_storm(backpressure: Backpressure, capacity: usize) {
                 }
             });
         }
-        // Rogue: violates shard affinity on shard 0 the whole time — the
-        // striped spin fallback must keep decide() correct under contention.
+        // Rogue: serves on shard 0 the whole time — decide() must stay
+        // correct under a contended shard lock.
         {
             let engine = &h.engine;
             let ctx = &ctx;
@@ -141,7 +139,7 @@ fn run_storm(backpressure: Backpressure, capacity: usize) {
                 }
             });
         }
-        // Promoter: epoch/RCU hot-swap storm against the pinned readers.
+        // Promoter: hot-swap storm against the cached readers.
         {
             let registry = &h.registry;
             s.spawn(move || {
@@ -243,7 +241,7 @@ fn run_storm(backpressure: Backpressure, capacity: usize) {
         "legacy alias must track wedge recoveries one-for-one"
     );
 
-    // The promotion storm is fully serialized through the RCU cell.
+    // The promotion storm is fully serialized through the registry lock.
     assert_eq!(h.registry.generation(), PROMOTIONS);
     assert_eq!(h.registry.swap_count(), PROMOTIONS);
 }
